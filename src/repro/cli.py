@@ -59,7 +59,6 @@ def _setup_from(args: argparse.Namespace) -> ExperimentConfig:
         tree_shape=args.tree,
         seed=args.seed,
         relocation_period=args.period,
-        planner_engine=args.planner_engine,
     )
 
 
@@ -74,12 +73,6 @@ def _add_setup_arguments(parser: argparse.ArgumentParser) -> None:
                         help="master seed (default 1998)")
     parser.add_argument("--period", type=float, default=600.0,
                         help="relocation period in seconds (default 600)")
-    parser.add_argument("--planner-engine",
-                        choices=("vectorized", "scalar"),
-                        default="vectorized",
-                        help="grid-search engine for the one-shot/global "
-                             "planners (bit-identical results; scalar is "
-                             "the reference loop)")
 
 
 def _add_workers_argument(parser: argparse.ArgumentParser) -> None:

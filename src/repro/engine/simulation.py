@@ -149,7 +149,6 @@ def build_query(
             list(spec.all_hosts),
             cost_model,
             server_replicas=server_replicas,
-            planner_engine=spec.planner_engine,
         )
         if planner_wrapper is not None:
             planner = planner_wrapper(planner, "controller")
@@ -162,7 +161,6 @@ def build_query(
             list(spec.all_hosts),
             cost_model,
             extra_candidates=spec.local_extra_candidates,
-            planner_engine=spec.planner_engine,
         )
         if planner_wrapper is not None:
             planner = planner_wrapper(planner, "controller")
@@ -185,7 +183,6 @@ def build_simulation(
     if tracer.enabled:
         env.trace_hook = tracer.kernel_hook
     network = Network(env, tracer=tracer)
-    network.fluid_fast_path = spec.fluid_fast_path
     for host_name in spec.all_hosts:
         host = Host(
             env,
@@ -193,7 +190,6 @@ def build_simulation(
             disk_rate=spec.disk_rate,
             nic_capacity=spec.nic_capacity,
         )
-        host.fluid_facilities = spec.fluid_fast_path
         network.add_host(host)
     hosts = list(spec.all_hosts)
     for i, a in enumerate(hosts):
@@ -249,7 +245,7 @@ def _initial_placement(
     # this live view is not snapshot-safe: the vectorized engine would
     # collapse the per-candidate call sequence into one matrix fill and
     # change the event stream.  Marking it keeps the t=0 plan on the
-    # scalar path regardless of spec.planner_engine.
+    # scalar path.
     estimator.snapshot_safe = False
 
     initial_algorithm = (
@@ -263,7 +259,6 @@ def _initial_placement(
         list(spec.all_hosts),
         cost_model,
         server_replicas=server_replicas,
-        planner_engine=spec.planner_engine,
     )
     if planner_wrapper is not None:
         planner = planner_wrapper(planner, "initial")

@@ -49,10 +49,6 @@ class ExperimentConfig:
     study_seed: int = 1998
     relocation_period: float = 600.0
     local_extra_candidates: int = 0
-    #: Grid-search engine for the one-shot/global planner family
-    #: (``"vectorized"`` or the ``"scalar"`` reference loop; results are
-    #: bit-identical either way).
-    planner_engine: str = "vectorized"
     library: Optional[TraceLibrary] = None
     #: Optional fault-injection plan applied to every run built from this
     #: config (``None``: fault machinery stays dormant).
@@ -202,7 +198,6 @@ def build_spec_from_config(
         workload_seed=sampled.workload_seed,
         relocation_period=setup.relocation_period,
         local_extra_candidates=setup.local_extra_candidates,
-        planner_engine=setup.planner_engine,
         control_seed=sampled.control_seed,
         faults=setup.fault_plan,
     )

@@ -39,10 +39,9 @@ from repro.fleet.planner import FleetPlanner
 
 def _fleet_factory(mode: str):
     def factory(tree, hosts, cost_model, *, server_replicas=None,
-                max_rounds=200, extra_candidates=0,
-                planner_engine="vectorized"):
+                max_rounds=200, extra_candidates=0):
         inner = GlobalPlanner(tree, hosts, cost_model, max_rounds,
-                              server_replicas, planner_engine)
+                              server_replicas)
         coordinator = FleetCoordinator(FleetPolicy(mode=mode))
         return FleetPlanner(inner, coordinator, "standalone")
     return factory

@@ -19,10 +19,10 @@ call under its own algorithm name (the inner search runs untraced), so
 trace replay and planner-effort accounting see the fleet planner as a
 first-class algorithm.
 
-The inner planner's engine passes straight through: a residual view
-wrapping a snapshot-safe estimator is itself snapshot-safe (the claim
-map is frozen per wrap), so coordinated controller replans run on the
-vectorized batch engine by default, and each ``plan`` call's fresh
+The inner planner's engine choice passes straight through: a residual
+view wrapping a snapshot-safe estimator is itself snapshot-safe (the
+claim map is frozen per wrap), so coordinated controller replans run on
+the vectorized batch engine, and each ``plan`` call's fresh
 residual view gets a fresh bandwidth snapshot.
 """
 

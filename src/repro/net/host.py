@@ -72,6 +72,13 @@ class Host:
         (paper assumption 2: one).
     """
 
+    #: Fluid facility fast path: hold an uncontended disk/CPU through a
+    #: single timeout event instead of the request-grant/timeout pair
+    #: (see :meth:`_use`).  Only the equivalence tests switch it off,
+    #: with :attr:`repro.net.network.Network.FLUID_FAST_PATH`, for full-DES
+    #: reference runs.
+    FLUID_FACILITIES = True
+
     def __init__(
         self,
         env: Environment,
@@ -95,11 +102,6 @@ class Host:
         self.cpu = Resource(env, capacity=1)
         self.disk_rate = disk_rate
         self.stats = HostStats()
-        #: Fluid facility fast path: hold an uncontended disk/CPU through
-        #: a single timeout event instead of the request-grant/timeout
-        #: pair (see :meth:`_use`).  Engines force this off together with
-        #: the network's transfer fast path for full-DES reference runs.
-        self.fluid_facilities = True
         self._mailboxes: dict[str, Mailbox] = {}
 
     # -- mailboxes ------------------------------------------------------------
@@ -124,10 +126,10 @@ class Host:
         (:meth:`~repro.sim.resources.Resource.try_acquire`) and sleep
         through a single timeout — the facility analogue of the
         network's fluid transfer fast path.  A contended facility (or
-        ``fluid_facilities`` off) runs the classic request-grant then
+        ``FLUID_FACILITIES`` off) runs the classic request-grant then
         timeout sequence; occupancy intervals are identical either way.
         """
-        hold = resource.try_acquire() if self.fluid_facilities else None
+        hold = resource.try_acquire() if self.FLUID_FACILITIES else None
         if hold is None:
             with resource.request() as req:
                 yield req

@@ -89,6 +89,14 @@ class NetworkStats:
 class Network:
     """A complete graph of hosts with trace-driven links."""
 
+    #: Fluid fast path (see :meth:`_start_transfer`): admitted transfers
+    #: whose window contains no fault boundary complete via one
+    #: analytically-scheduled callback event instead of a generator
+    #: process.  Results are bit-identical either way; only the
+    #: equivalence tests switch it off, to run the full DES path as the
+    #: reference.
+    FLUID_FAST_PATH = True
+
     def __init__(self, env: Environment, tracer=None) -> None:
         self.env = env
         self._tracer = ensure_tracer(tracer)
@@ -127,14 +135,6 @@ class Network:
         #: Fault injector (see :meth:`install_faults`).  None (the
         #: default) keeps transfers on the exact unfaulted code path.
         self._faults = None
-        #: Fluid fast path (see :meth:`_start_transfer`): admitted
-        #: transfers whose window contains no fault boundary complete
-        #: via one analytically-scheduled callback event instead of a
-        #: generator process.  False forces every transfer through the
-        #: full DES path — results are bit-identical either way (pinned
-        #: by the equivalence suite); the toggle exists for those tests
-        #: and for benchmarking the collapse.
-        self.fluid_fast_path = True
 
     def install_faults(self, injector) -> None:
         """Route transfers through ``injector``'s outage/loss/retry model."""
@@ -277,7 +277,7 @@ class Network:
         degrades to a plain send so full-DES reference runs reproduce
         the classic event schedule exactly.
         """
-        if not self.fluid_fast_path:
+        if not self.FLUID_FAST_PATH:
             self.send(message, src_host, dst_host)
             return
         self._send(message, src_host, dst_host, None)
@@ -399,7 +399,7 @@ class Network:
         or loss condition falls back to the full DES path unchanged.
         """
         env = self.env
-        if self.fluid_fast_path:
+        if self.FLUID_FAST_PATH:
             faults = self._faults
             if faults is None:
                 link = self.link(src, dst)

@@ -118,9 +118,12 @@ def replay_aggregates(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
             agg["planner_candidates"] += event.get("candidates", 0)
             agg["planner_links_queried"] += event.get("links", 0)
         elif etype == ev.PLACEMENT_INSTALL:
+            # The live run counts a round when it starts, so a round
+            # still in flight at the end counts here too; its stall only
+            # accrues once the barrier.round span closes.
             agg["placements_installed"] += 1
-        elif etype == ev.BARRIER_ROUND:
             agg["barrier_rounds"] += 1
+        elif etype == ev.BARRIER_ROUND:
             agg["barrier_stall_seconds"] += event["dur"]
         elif etype == ev.MONITOR_PROBE:
             agg["probes_sent"] += 1

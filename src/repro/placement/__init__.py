@@ -37,11 +37,7 @@ from repro.placement.local_rules import (
 )
 
 #: Planner-factory signature: ``(tree, hosts, cost_model, *,
-#: server_replicas=None, max_rounds=200, extra_candidates=0,
-#: planner_engine="vectorized") -> Planner``.  ``planner_engine`` selects
-#: the grid-search implementation for the one-shot/global family
-#: (``"vectorized"`` batch pricing or the ``"scalar"`` reference loop,
-#: bit-identical); planners without a move grid ignore it.
+#: server_replicas=None, max_rounds=200, extra_candidates=0) -> Planner``.
 PlannerFactory = Callable[..., Planner]
 
 _PLANNER_REGISTRY: "dict[str, PlannerFactory]" = {}
@@ -66,30 +62,26 @@ def planner_registry() -> "tuple[str, ...]":
 
 
 def _make_one_shot(tree, hosts, cost_model, *, server_replicas=None,
-                   max_rounds=200, extra_candidates=0,
-                   planner_engine="vectorized"):
+                   max_rounds=200, extra_candidates=0):
     return OneShotPlanner(tree, hosts, cost_model, max_rounds,
-                          server_replicas, planner_engine)
+                          server_replicas)
 
 
 def _make_global(tree, hosts, cost_model, *, server_replicas=None,
-                 max_rounds=200, extra_candidates=0,
-                 planner_engine="vectorized"):
+                 max_rounds=200, extra_candidates=0):
     return GlobalPlanner(tree, hosts, cost_model, max_rounds,
-                         server_replicas, planner_engine)
+                         server_replicas)
 
 
 def _make_local(tree, hosts, cost_model, *, server_replicas=None,
-                max_rounds=200, extra_candidates=0,
-                planner_engine="vectorized"):
+                max_rounds=200, extra_candidates=0):
     return LocalRulesPlanner(
         tree, hosts, cost_model, extra_candidates=extra_candidates
     )
 
 
 def _make_download_all(tree, hosts, cost_model, *, server_replicas=None,
-                       max_rounds=200, extra_candidates=0,
-                       planner_engine="vectorized"):
+                       max_rounds=200, extra_candidates=0):
     return DownloadAllPlanner(tree, hosts, cost_model)
 
 
@@ -108,7 +100,6 @@ def planner_for(
     server_replicas: "Optional[dict[str, tuple[str, ...]]]" = None,
     max_rounds: int = 200,
     extra_candidates: int = 0,
-    planner_engine: str = "vectorized",
 ) -> Planner:
     """Construct the planner for an algorithm name (or enum).
 
@@ -117,9 +108,7 @@ def planner_for(
     :func:`register_planner`, e.g. the ``fleet-*`` family) or anything
     with a matching ``.value`` (e.g.
     :class:`repro.engine.config.Algorithm`); keying on the value keeps
-    this module import-independent of the engine.  ``planner_engine``
-    picks the grid-search implementation for the one-shot/global family
-    (``"vectorized"`` default, ``"scalar"`` reference — bit-identical).
+    this module import-independent of the engine.
     """
     key = getattr(algorithm, "value", algorithm)
     factory = _PLANNER_REGISTRY.get(key)
@@ -136,7 +125,6 @@ def planner_for(
         server_replicas=server_replicas,
         max_rounds=max_rounds,
         extra_candidates=extra_candidates,
-        planner_engine=planner_engine,
     )
 
 

@@ -63,21 +63,17 @@ class OneShotPlanner:
         dataset is replicated may be *served* from any replica, so the
         search treats them as movable among those hosts (the paper's
         assumption 3 relaxed).
-    engine:
-        ``"vectorized"`` (default) prices each round's whole move grid in
-        one numpy pass (:class:`repro.dataflow.critical.BatchMoveEvaluator`),
-        bit-identical to the scalar search; ``"scalar"`` forces the
-        reference per-candidate loop.  The vectorized engine snapshots
-        the estimator once per plan call, so estimators with per-call
-        side effects (``snapshot_safe = False``, e.g. the live traced
-        monitoring view) automatically take the scalar path — the engine
-        actually used is reported in :attr:`last_engine`.
+
+    Each plan call prices each round's whole move grid in one numpy pass
+    (:class:`repro.dataflow.critical.BatchMoveEvaluator`), which
+    snapshots the estimator once per call.  Estimators with per-call
+    side effects (``snapshot_safe = False``, e.g. the live traced
+    monitoring view) take the per-candidate scalar search instead; both
+    return bit-identical results, and the engine actually used is
+    reported in :attr:`last_engine`.
     """
 
     name = "one-shot"
-
-    #: Supported ``engine`` values.
-    engines = ("scalar", "vectorized")
 
     def __init__(
         self,
@@ -86,21 +82,15 @@ class OneShotPlanner:
         cost_model: CostModel,
         max_rounds: int = 200,
         server_replicas: "Optional[dict[str, tuple[str, ...]]]" = None,
-        engine: str = "vectorized",
     ) -> None:
         if not hosts:
             raise ValueError("need at least one candidate host")
         if max_rounds <= 0:
             raise ValueError(f"max_rounds must be positive, got {max_rounds!r}")
-        if engine not in self.engines:
-            raise ValueError(
-                f"unknown planner engine {engine!r}; choose from {self.engines}"
-            )
         self.tree = tree
         self.hosts = sorted(set(hosts))
         self.cost_model = cost_model
         self.max_rounds = max_rounds
-        self.engine = engine
         #: Engine used by the most recent ``plan`` call ("scalar" or
         #: "vectorized"); None before the first call.
         self.last_engine: "Optional[str]" = None
@@ -132,10 +122,10 @@ class OneShotPlanner:
 
         ``seed`` is accepted for :class:`~repro.placement.base.Planner`
         uniformity (the search is deterministic and ignores it).  The
-        vectorized engine is used when configured *and* the estimator is
-        snapshot-safe; both engines return bit-identical results.
+        vectorized engine is used when the estimator is snapshot-safe;
+        both engines return bit-identical results.
         """
-        if self.engine == "vectorized" and snapshot_safe(estimator):
+        if snapshot_safe(estimator):
             self.last_engine = "vectorized"
             return self._plan_vectorized(
                 estimator, initial, tracer=tracer, now=now

@@ -160,7 +160,6 @@ class WorkloadEngine:
         spec = self.spec
         tracer = self.tracer
         network = Network(env, tracer=tracer)
-        network.fluid_fast_path = spec.fluid_fast_path
         for host_name in spec.all_hosts:
             host = Host(
                 env,
@@ -168,7 +167,6 @@ class WorkloadEngine:
                 disk_rate=spec.disk_rate,
                 nic_capacity=spec.nic_capacity,
             )
-            host.fluid_facilities = spec.fluid_fast_path
             network.add_host(host)
         links = spec.resolve_links()
         hosts = list(spec.all_hosts)

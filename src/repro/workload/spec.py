@@ -155,13 +155,6 @@ class WorkloadSpec:
     disk_rate: float = 3 * 1024 * 1024
     seed_initial_snapshot: bool = True
     max_sim_time: float = 10 * 86400.0
-    #: Kernel fast path for fault-free transfers (see
-    #: :attr:`repro.engine.config.SimulationSpec.fluid_fast_path`).
-    fluid_fast_path: bool = True
-    #: Planner grid-search engine for every query (see
-    #: :attr:`repro.engine.config.SimulationSpec.planner_engine`); a
-    #: class override wins per class.
-    planner_engine: str = "vectorized"
     #: Restrict the schedule to these client indices (one shard of the
     #: full ``num_clients`` population).  Seeds, query ids and arrival
     #: streams stay those of the full run; ``None`` schedules everyone.
@@ -359,8 +352,6 @@ class WorkloadSpec:
             monitoring=self.monitoring,
             seed_initial_snapshot=self.seed_initial_snapshot,
             max_sim_time=self.max_sim_time,
-            fluid_fast_path=self.fluid_fast_path,
-            planner_engine=self.planner_engine,
         )
         kwargs.update(dict(qclass.overrides))
         return SimulationSpec(**kwargs)
@@ -396,7 +387,6 @@ class WorkloadSpec:
             overrides.update(dict(qclass.overrides))
             merged_classes.append(replace(qclass, overrides=overrides))
         kwargs.setdefault("fault_plan", config.fault_plan)
-        kwargs.setdefault("planner_engine", config.planner_engine)
         return cls(
             classes=tuple(merged_classes),
             num_servers=config.num_servers,

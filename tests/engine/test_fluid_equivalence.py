@@ -2,8 +2,9 @@
 
 The hybrid fluid/DES kernel collapse (single-callback transfers, elided
 fire-and-forget delivery events, synchronous facility holds) must be
-*observationally invisible*: a run with ``fluid_fast_path=False`` — the
-classic all-process schedule — and the default fast-path run must agree
+*observationally invisible*: a run forced onto the full DES path (the
+``full_des`` fixture — the classic all-process schedule) and the default
+fast-path run must agree
 on every metric, every arrival time, and the byte-exact obs event
 stream, with and without fault plans.  The only permitted differences
 are the kernel-accounting diagnostics (``kernel_events``,
@@ -46,13 +47,12 @@ def _stream_digest(tracer: Tracer) -> str:
     ).hexdigest()
 
 
-def _pair(setup, index, algorithm):
+def _pair(full_des, setup, index, algorithm):
     """(fast metrics+digest, forced-slow metrics+digest) for one run."""
     fast_tracer, slow_tracer = Tracer(), Tracer()
     fast = run_configuration(setup, index, algorithm, tracer=fast_tracer)
-    slow = run_configuration(
-        setup, index, algorithm, tracer=slow_tracer, fluid_fast_path=False
-    )
+    with full_des():
+        slow = run_configuration(setup, index, algorithm, tracer=slow_tracer)
     return fast, _stream_digest(fast_tracer), slow, _stream_digest(slow_tracer)
 
 
@@ -84,8 +84,8 @@ def _no_loss_plan(hosts) -> FaultPlan:
 class TestNoFaultEquivalence:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("index", [0, 1, 2])
-    def test_fast_equals_forced_slow(self, algorithm, index):
-        fast, fd, slow, sd = _pair(SETUP, index, algorithm)
+    def test_fast_equals_forced_slow(self, algorithm, index, full_des):
+        fast, fd, slow, sd = _pair(full_des, SETUP, index, algorithm)
         _assert_equivalent(fast, fd, slow, sd)
         # Without an injector every transfer goes fluid.
         assert fast.fluid_transfers == fast.transfers > 0
@@ -98,13 +98,13 @@ class TestNoFaultEquivalence:
 
 class TestFaultedEquivalence:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_no_loss_plan_mixes_fluid_and_des(self, algorithm):
+    def test_no_loss_plan_mixes_fluid_and_des(self, algorithm, full_des):
         setup = ExperimentConfig(
             num_servers=4,
             images_per_server=8,
             fault_plan=_no_loss_plan(SETUP.server_hosts),
         )
-        fast, fd, slow, sd = _pair(setup, 0, algorithm)
+        fast, fd, slow, sd = _pair(full_des, setup, 0, algorithm)
         _assert_equivalent(fast, fd, slow, sd)
         # Outage/crash windows force some transfers onto the DES path,
         # the rest must still collapse.
@@ -113,14 +113,14 @@ class TestFaultedEquivalence:
     @pytest.mark.parametrize(
         "algorithm", [Algorithm.DOWNLOAD_ALL, Algorithm.GLOBAL]
     )
-    def test_chaos_plan_equivalent(self, algorithm):
+    def test_chaos_plan_equivalent(self, algorithm, full_des):
         hosts = (*SETUP.server_hosts, SETUP.client_host)
         setup = ExperimentConfig(
             num_servers=4,
             images_per_server=8,
             fault_plan=reference_chaos_plan(hosts, seed=1),
         )
-        fast, fd, slow, sd = _pair(setup, 0, algorithm)
+        fast, fd, slow, sd = _pair(full_des, setup, 0, algorithm)
         assert fast.summary() == slow.summary()
         assert fd == sd
         # Loss streams require per-attempt RNG draws, so every lossy
@@ -129,7 +129,7 @@ class TestFaultedEquivalence:
 
 
 class TestWorkloadEquivalence:
-    def test_concurrent_workload_equal_streams(self):
+    def test_concurrent_workload_equal_streams(self, full_des):
         from repro.workload import (
             ClosedLoop,
             QueryClass,
@@ -137,24 +137,23 @@ class TestWorkloadEquivalence:
             run_workload,
         )
 
-        def build(fluid: bool):
-            return WorkloadSpec(
-                classes=(
-                    QueryClass(name="global", algorithm=Algorithm.GLOBAL),
-                    QueryClass(name="one-shot", algorithm=Algorithm.ONE_SHOT),
-                ),
-                num_clients=2,
-                queries_per_client=1,
-                arrivals=ClosedLoop(think_time=2.0),
-                seed=11,
-                num_servers=4,
-                images_per_server=4,
-                fluid_fast_path=fluid,
-            )
+        spec = WorkloadSpec(
+            classes=(
+                QueryClass(name="global", algorithm=Algorithm.GLOBAL),
+                QueryClass(name="one-shot", algorithm=Algorithm.ONE_SHOT),
+            ),
+            num_clients=2,
+            queries_per_client=1,
+            arrivals=ClosedLoop(think_time=2.0),
+            seed=11,
+            num_servers=4,
+            images_per_server=4,
+        )
 
         fast_tracer, slow_tracer = Tracer(), Tracer()
-        fast = run_workload(build(True), tracer=fast_tracer)
-        slow = run_workload(build(False), tracer=slow_tracer)
+        fast = run_workload(spec, tracer=fast_tracer)
+        with full_des():
+            slow = run_workload(spec, tracer=slow_tracer)
         assert fast.to_dict() == slow.to_dict()
         assert _stream_digest(fast_tracer) == _stream_digest(slow_tracer)
         assert sum(q.metrics.fluid_transfers for q in fast.queries) > 0

@@ -1,23 +1,25 @@
 """Vectorized vs scalar planner engine: bit-identical full runs.
 
-The engine switch must be *observationally invisible*: a run with
-``planner_engine="scalar"`` (the reference per-candidate search) and the
-default vectorized run must agree on every metric, every arrival time
-and the byte-exact obs event stream, across all four algorithms, with
-and without the reference chaos plan, and under the concurrent
+The engine choice must be *observationally invisible*: a run forced onto
+the reference per-candidate search (the ``scalar_planner`` fixture) and
+the default vectorized run must agree on every metric, every arrival
+time and the byte-exact obs event stream, across all four algorithms,
+with and without the reference chaos plan, and under the concurrent
 fleet-coordinated workload.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.engine.config import Algorithm, SimulationSpec
+from repro.engine.config import Algorithm
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_configuration
 from repro.faults import reference_chaos_plan
 from repro.obs import Tracer
+from repro.placement.one_shot import OneShotPlanner
 
 ALGORITHMS = [
     Algorithm.DOWNLOAD_ALL,
@@ -26,7 +28,12 @@ ALGORITHMS = [
     Algorithm.GLOBAL,
 ]
 
-SETUP = ExperimentConfig(num_servers=4, images_per_server=8)
+#: These runs finish in a few simulated minutes; a 30 s relocation
+#: period makes the global controller replan (on the vectorized engine)
+#: before they do.
+SETUP = ExperimentConfig(
+    num_servers=4, images_per_server=8, relocation_period=30.0
+)
 
 
 def _stream_digest(tracer: Tracer) -> str:
@@ -42,65 +49,90 @@ def _stream_digest(tracer: Tracer) -> str:
     ).hexdigest()
 
 
-def _pair(setup, index, algorithm):
-    """(vectorized, scalar) metrics+digest for one configuration."""
+@pytest.fixture
+def engines_used(monkeypatch):
+    """Every ``OneShotPlanner.last_engine`` after a plan call, in order."""
+    used = []
+    plan = OneShotPlanner.plan
+
+    def spy(self, *args, **kwargs):
+        result = plan(self, *args, **kwargs)
+        used.append(self.last_engine)
+        return result
+
+    monkeypatch.setattr(OneShotPlanner, "plan", spy)
+    return used
+
+
+def _run_pair(scalar_planner, engines_used, run):
+    """``run(tracer)`` by default and under the scalar reference search:
+    (default result, digest, engines) then (reference result, digest)."""
     fast_tracer, ref_tracer = Tracer(), Tracer()
-    fast = run_configuration(
-        setup, index, algorithm, tracer=fast_tracer,
-        planner_engine="vectorized",
+    fast = run(fast_tracer)
+    fast_engines = list(engines_used)
+    engines_used.clear()
+    with scalar_planner():
+        ref = run(ref_tracer)
+    # The oracle really ran the reference search.
+    assert set(engines_used) <= {"scalar"}
+    return (
+        fast, _stream_digest(fast_tracer), fast_engines,
+        ref, _stream_digest(ref_tracer),
     )
-    ref = run_configuration(
-        setup, index, algorithm, tracer=ref_tracer, planner_engine="scalar"
+
+
+def _pair(scalar_planner, engines_used, setup, index, algorithm):
+    return _run_pair(
+        scalar_planner,
+        engines_used,
+        lambda tracer: run_configuration(
+            setup, index, algorithm, tracer=tracer
+        ),
     )
-    return fast, _stream_digest(fast_tracer), ref, _stream_digest(ref_tracer)
-
-
-class TestSpecValidation:
-    def test_unknown_engine_rejected(self):
-        from repro.experiments.config import build_spec
-
-        with pytest.raises(ValueError, match="planner engine"):
-            build_spec(SETUP, 0, Algorithm.GLOBAL, planner_engine="simd")
-
-    def test_experiment_config_forwards_engine(self):
-        from repro.experiments.config import build_spec
-
-        setup = ExperimentConfig(
-            num_servers=4, images_per_server=8, planner_engine="scalar"
-        )
-        assert build_spec(setup, 0, Algorithm.GLOBAL).planner_engine == "scalar"
-        assert (
-            build_spec(SETUP, 0, Algorithm.GLOBAL).planner_engine
-            == "vectorized"
-        )
 
 
 class TestRunEquivalence:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_no_fault_runs_identical(self, algorithm):
-        fast, fd, ref, rd = _pair(SETUP, 0, algorithm)
+    def test_no_fault_runs_identical(
+        self, algorithm, scalar_planner, engines_used
+    ):
+        fast, fd, engines, ref, rd = _pair(
+            scalar_planner, engines_used, SETUP, 0, algorithm
+        )
         assert fast.summary() == ref.summary()
         assert fast.arrival_times == ref.arrival_times
         assert fd == rd
+        if algorithm is Algorithm.GLOBAL:
+            # Controller replans read snapshot-safe estimators.
+            assert engines[-1] == "vectorized"
+        else:
+            # The t=0 plan reads the live, not snapshot-safe, view.
+            assert set(engines) <= {"scalar"}
 
     @pytest.mark.parametrize(
         "algorithm", [Algorithm.GLOBAL, Algorithm.ONE_SHOT]
     )
-    def test_chaos_runs_identical(self, algorithm):
+    def test_chaos_runs_identical(
+        self, algorithm, scalar_planner, engines_used
+    ):
         hosts = (*SETUP.server_hosts, SETUP.client_host)
-        setup = ExperimentConfig(
-            num_servers=4,
-            images_per_server=8,
-            fault_plan=reference_chaos_plan(hosts, seed=1),
+        setup = replace(
+            SETUP, fault_plan=reference_chaos_plan(hosts, seed=1)
         )
-        fast, fd, ref, rd = _pair(setup, 0, algorithm)
+        fast, fd, engines, ref, rd = _pair(
+            scalar_planner, engines_used, setup, 0, algorithm
+        )
         assert fast.summary() == ref.summary()
         assert fast.arrival_times == ref.arrival_times
         assert fd == rd
+        if algorithm is Algorithm.GLOBAL:
+            assert engines[-1] == "vectorized"
 
 
 class TestWorkloadEquivalence:
-    def test_fleet_coordinated_workload_identical(self):
+    def test_fleet_coordinated_workload_identical(
+        self, scalar_planner, engines_used
+    ):
         from repro.fleet import FleetPolicy
         from repro.workload import (
             ClosedLoop,
@@ -109,54 +141,62 @@ class TestWorkloadEquivalence:
             run_workload,
         )
 
-        def build(engine: str):
-            return WorkloadSpec(
-                classes=(
-                    QueryClass(name="global", algorithm=Algorithm.GLOBAL),
-                    QueryClass(name="one-shot", algorithm=Algorithm.ONE_SHOT),
+        spec = WorkloadSpec(
+            classes=(
+                QueryClass(
+                    name="global",
+                    algorithm=Algorithm.GLOBAL,
+                    overrides={"relocation_period": 30.0},
                 ),
-                num_clients=2,
-                queries_per_client=1,
-                arrivals=ClosedLoop(think_time=2.0),
-                seed=11,
-                num_servers=4,
-                images_per_server=4,
-                fleet=FleetPolicy(mode="coordinated"),
-                planner_engine=engine,
-            )
+                QueryClass(name="one-shot", algorithm=Algorithm.ONE_SHOT),
+            ),
+            num_clients=2,
+            queries_per_client=1,
+            arrivals=ClosedLoop(think_time=2.0),
+            # Seed 12 draws one query of each class, so a global query
+            # replans under the coordinator.
+            seed=12,
+            num_servers=4,
+            images_per_server=4,
+            fleet=FleetPolicy(mode="coordinated"),
+        )
 
-        fast_tracer, ref_tracer = Tracer(), Tracer()
-        fast = run_workload(build("vectorized"), tracer=fast_tracer)
-        ref = run_workload(build("scalar"), tracer=ref_tracer)
+        fast, fd, engines, ref, rd = _run_pair(
+            scalar_planner,
+            engines_used,
+            lambda tracer: run_workload(spec, tracer=tracer),
+        )
         assert fast.to_dict() == ref.to_dict()
-        assert _stream_digest(fast_tracer) == _stream_digest(ref_tracer)
+        assert fd == rd
+        assert fast.fleet["fleet"]["grants"] > 0
+        assert engines[-1] == "vectorized"
 
 
 class TestCliSmoke:
-    def test_compare_byte_identical_under_chaos(self, tmp_path, capsys):
+    def test_compare_byte_identical_under_chaos(
+        self, tmp_path, capsys, scalar_planner
+    ):
         from repro.cli import main
 
         hosts = tuple(f"h{i}" for i in range(4)) + ("client",)
         plan_path = tmp_path / "chaos.json"
         reference_chaos_plan(hosts, seed=1).to_json(plan_path)
+        argv = [
+            "compare",
+            "--servers",
+            "4",
+            "--images",
+            "6",
+            "--configs",
+            "1",
+            "--faults",
+            str(plan_path),
+        ]
         outputs = {}
-        for engine in ("vectorized", "scalar"):
-            code = main(
-                [
-                    "compare",
-                    "--servers",
-                    "4",
-                    "--images",
-                    "6",
-                    "--configs",
-                    "1",
-                    "--faults",
-                    str(plan_path),
-                    "--planner-engine",
-                    engine,
-                ]
-            )
-            assert code == 0
-            outputs[engine] = capsys.readouterr().out
+        assert main(argv) == 0
+        outputs["vectorized"] = capsys.readouterr().out
+        with scalar_planner():
+            assert main(argv) == 0
+        outputs["scalar"] = capsys.readouterr().out
         assert outputs["vectorized"] == outputs["scalar"]
         assert "download-all" in outputs["vectorized"]

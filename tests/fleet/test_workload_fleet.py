@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.engine.config import Algorithm
+from repro.faults import reference_chaos_plan
 from repro.fleet.counters import CoordinationCounters
 from repro.obs import Tracer
 from repro.workload import (
+    ClosedLoop,
     FleetPolicy,
     OpenLoop,
     QueryClass,
@@ -150,6 +153,48 @@ class TestCoordinatedRun:
         block = result.fleet["fleet"]
         assert block["denies"] == 0
         assert block["grant_rate"] == 1.0
+
+
+class TestChaosFleet:
+    def test_coordination_improves_p99_or_fairness(self):
+        # Six global queries replanning every 30 s while the reference
+        # chaos plan degrades links under them: blind planners all chase
+        # the same post-fault bandwidth, the coordinator's residual view
+        # and relocation budget cap that churn.
+        def spec(fleet):
+            base = WorkloadSpec(
+                classes=(
+                    QueryClass(
+                        name="global",
+                        algorithm=Algorithm.GLOBAL,
+                        slo_target=2000.0,
+                        overrides={"relocation_period": 30.0},
+                    ),
+                ),
+                num_clients=6,
+                queries_per_client=1,
+                arrivals=ClosedLoop(),
+                seed=17,
+                num_servers=4,
+                images_per_server=24,
+                fleet=fleet,
+            )
+            return replace(
+                base, fault_plan=reference_chaos_plan(base.all_hosts, seed=3)
+            )
+
+        blind = run_workload(spec(None)).fleet
+        coordinated = run_workload(spec(TIGHT)).fleet
+        block = coordinated["fleet"]
+        assert block["grants"] > 0 and block["denies"] > 0
+        assert (
+            coordinated["latency"]["p99"] < blind["latency"]["p99"]
+            or coordinated["fairness_jain"] > blind["fairness_jain"]
+        )
+        assert (
+            coordinated["relocations"]["total"]
+            < blind["relocations"]["total"]
+        )
 
 
 class TestCounters:

@@ -233,14 +233,14 @@ class TestTransfers:
         assert net.stats.fluid_transfers == 1
         assert net.stats.des_transfers == 0
 
-    def test_forced_slow_path_counts_des(self, env):
+    def test_forced_slow_path_counts_des(self, env, full_des):
         net = build_network(env, rate=1000.0)
-        net.fluid_fast_path = False
         net.register_actor("s", "a")
         net.register_actor("d", "b")
         message = data_message("s", "d", size=1000 - 256)
-        net.send(message)
-        env.run()
+        with full_des():
+            net.send(message)
+            env.run()
         assert message.delivered_at == pytest.approx(1.0)
         assert net.stats.fluid_transfers == 0
         assert net.stats.des_transfers == 1
@@ -268,14 +268,14 @@ class TestTransfers:
             timings[use_post] = message.delivered_at
         assert timings[True] == timings[False]
 
-    def test_post_falls_back_to_send_when_slow(self, env):
+    def test_post_falls_back_to_send_when_slow(self, env, full_des):
         net = build_network(env, rate=1000.0)
-        net.fluid_fast_path = False
         net.register_actor("s", "a")
         net.register_actor("d", "b")
         message = data_message("s", "d")
-        net.post(message)
-        env.run()
+        with full_des():
+            net.post(message)
+            env.run()
         assert message.delivered_at is not None
         assert net.stats.des_transfers == 1
 

@@ -51,6 +51,23 @@ def test_from_trace_accepts_records():
     _assert_summaries_match(live, replayed)
 
 
+def test_replay_counts_barrier_round_at_install():
+    # A run that ends mid change-over: the live run counted the round
+    # when it started, and its barrier.round span never closed.
+    in_flight = [{"type": "placement.install", "t": 5.0, "plan_seq": 1,
+                  "moves": 2}]
+    replayed = RunMetrics.from_trace(in_flight)
+    assert replayed.placements_installed == 1
+    assert replayed.barrier_rounds == 1
+    assert replayed.barrier_stall_seconds == 0.0
+
+    closed = in_flight + [{"type": "barrier.round", "t": 5.0, "dur": 2.5,
+                           "plan_seq": 1}]
+    replayed = RunMetrics.from_trace(closed)
+    assert replayed.barrier_rounds == 1
+    assert replayed.barrier_stall_seconds == 2.5
+
+
 def test_trace_summary_consistent_with_metrics():
     tracer = Tracer()
     live = run_simulation(tiny_spec(algorithm=Algorithm.GLOBAL, images=4),

@@ -1,4 +1,9 @@
-"""The vectorized planner engine: equal plans, engine selection, fallback."""
+"""The vectorized planner engine: equal plans, engine selection, fallback.
+
+The scalar reference search runs on estimators that are not
+snapshot-safe; :func:`unsafe` wraps an estimator that way, so each
+comparison plans the same bandwidths through both engines.
+"""
 
 import random
 
@@ -40,6 +45,16 @@ def random_setup(rng, with_replicas=False):
     return tree, hosts, model, start, replicas, estimator
 
 
+def unsafe(estimator):
+    """``estimator`` behind a view the planner may not snapshot."""
+
+    def view(a, b):
+        return estimator(a, b)
+
+    view.snapshot_safe = False
+    return view
+
+
 def assert_same_result(scalar, vectorized):
     assert scalar.placement == vectorized.placement
     assert scalar.cost == vectorized.cost  # bitwise
@@ -57,11 +72,11 @@ class TestPlanEquality:
         tree, hosts, model, start, replicas, est = random_setup(
             rng, with_replicas
         )
-        scalar = OneShotPlanner(tree, hosts, model, 200, replicas, "scalar")
-        vector = OneShotPlanner(
-            tree, hosts, model, 200, replicas, "vectorized"
+        scalar = OneShotPlanner(tree, hosts, model, 200, replicas)
+        vector = OneShotPlanner(tree, hosts, model, 200, replicas)
+        assert_same_result(
+            scalar.plan(unsafe(est), start), vector.plan(est, start)
         )
-        assert_same_result(scalar.plan(est, start), vector.plan(est, start))
         assert scalar.last_engine == "scalar"
         assert vector.last_engine == "vectorized"
 
@@ -69,11 +84,15 @@ class TestPlanEquality:
     def test_global_warm_start_plans_identical(self, seed):
         rng = random.Random(500 + seed)
         tree, hosts, model, start, _, est = random_setup(rng)
-        scalar = GlobalPlanner(tree, hosts, model, 200, None, "scalar")
-        vector = GlobalPlanner(tree, hosts, model, 200, None, "vectorized")
+        scalar = GlobalPlanner(tree, hosts, model, 200, None)
+        vector = GlobalPlanner(tree, hosts, model, 200, None)
         # Warm-start from a scalar one-shot plan, as the controller does.
-        warm = scalar.plan(est, start).placement
-        assert_same_result(scalar.plan(est, warm), vector.plan(est, warm))
+        warm = scalar.plan(unsafe(est), start).placement
+        assert_same_result(
+            scalar.plan(unsafe(est), warm), vector.plan(est, warm)
+        )
+        assert scalar.last_engine == "scalar"
+        assert vector.last_engine == "vectorized"
 
     def test_recording_semantics_on_asymmetric_estimator(self):
         # The satellite check: the vectorized engine's links_queried must
@@ -83,9 +102,9 @@ class TestPlanEquality:
         for seed in range(8):
             rng = random.Random(900 + seed)
             tree, hosts, model, start, _, est = random_setup(rng)
-            scalar = OneShotPlanner(tree, hosts, model, engine="scalar")
-            vector = OneShotPlanner(tree, hosts, model, engine="vectorized")
-            s, v = scalar.plan(est, start), vector.plan(est, start)
+            planner = OneShotPlanner(tree, hosts, model)
+            s = planner.plan(unsafe(est), start)
+            v = planner.plan(est, start)
             assert s.links_queried == v.links_queried
             assert all(a < b for a, b in v.links_queried)
 
@@ -97,16 +116,14 @@ class TestEngineSelection:
             random_setup(rng)
         )
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            OneShotPlanner(self.tree, self.hosts, self.model, engine="simd")
-
-    def test_scalar_escape_hatch(self):
-        planner = OneShotPlanner(
-            self.tree, self.hosts, self.model, engine="scalar"
-        )
-        planner.plan(self.est, self.start)
+    def test_scalar_escape_hatch(self, scalar_planner):
+        planner = OneShotPlanner(self.tree, self.hosts, self.model)
+        assert planner.last_engine is None
+        with scalar_planner():
+            planner.plan(self.est, self.start)
         assert planner.last_engine == "scalar"
+        planner.plan(self.est, self.start)
+        assert planner.last_engine == "vectorized"
 
     def test_unsafe_estimator_falls_back_to_scalar(self):
         calls = []
@@ -116,64 +133,47 @@ class TestEngineSelection:
             return 1e6
 
         live.snapshot_safe = False
-        planner = OneShotPlanner(
-            self.tree, self.hosts, self.model, engine="vectorized"
-        )
+        planner = OneShotPlanner(self.tree, self.hosts, self.model)
         result = planner.plan(live, self.start)
         assert planner.last_engine == "scalar"
-        # The scalar path must not have snapshotted the full matrix up
-        # front: it queries only as the search needs values.
-        scalar = OneShotPlanner(
-            self.tree, self.hosts, self.model, engine="scalar"
-        )
-        assert_same_result(scalar.plan(live, self.start), result)
+        assert calls
+        # The same bandwidths through the vectorized engine.
+        assert_same_result(result, planner.plan(lambda a, b: 1e6, self.start))
+        assert planner.last_engine == "vectorized"
 
-    def test_global_planner_forwards_engine(self):
-        planner = GlobalPlanner(
-            self.tree, self.hosts, self.model, engine="scalar"
-        )
-        assert planner.engine == "scalar"
-        planner.plan(self.est, self.start)
+    def test_global_planner_forwards_engine(self, scalar_planner):
+        planner = GlobalPlanner(self.tree, self.hosts, self.model)
+        with scalar_planner():
+            planner.plan(self.est, self.start)
         assert planner.last_engine == "scalar"
+        planner.plan(self.est, self.start)
+        assert planner.last_engine == "vectorized"
 
     def test_planner_for_forwards_engine(self):
         for name in ("one-shot", "global"):
-            planner = planner_for(
-                name,
-                self.tree,
-                self.hosts,
-                self.model,
-                planner_engine="scalar",
-            )
+            planner = planner_for(name, self.tree, self.hosts, self.model)
             planner.plan(self.est, self.start)
+            assert planner.last_engine == "vectorized"
+            planner.plan(unsafe(self.est), self.start)
             assert planner.last_engine == "scalar"
-        # Planners without a move grid accept and ignore the knob.
-        planner_for(
-            "download-all",
-            self.tree,
-            self.hosts,
-            self.model,
-            planner_engine="scalar",
-        ).plan(self.est, self.start)
+        # Planners without a move grid plan either estimator.
+        download = planner_for(
+            "download-all", self.tree, self.hosts, self.model
+        )
+        download.plan(self.est, self.start)
+        download.plan(unsafe(self.est), self.start)
 
-    def test_fleet_planner_passes_engine_through(self):
+    def test_fleet_planner_passes_engine_through(self, scalar_planner):
         planner = planner_for(
-            "fleet-coordinated",
-            self.tree,
-            self.hosts,
-            self.model,
-            planner_engine="vectorized",
+            "fleet-coordinated", self.tree, self.hosts, self.model
         )
         result = planner.plan(self.est, self.start)
         assert planner.inner.last_engine == "vectorized"
         scalar = planner_for(
-            "fleet-coordinated",
-            self.tree,
-            self.hosts,
-            self.model,
-            planner_engine="scalar",
+            "fleet-coordinated", self.tree, self.hosts, self.model
         )
-        expected = scalar.plan(self.est, self.start)
+        with scalar_planner():
+            expected = scalar.plan(self.est, self.start)
         assert scalar.inner.last_engine == "scalar"
         assert result.placement == expected.placement
         assert result.cost == expected.cost

@@ -7,6 +7,46 @@ from repro.traces import BandwidthTrace, constant_trace
 from repro.traces.trace import MIN_RATE, merge_min
 
 
+def transfer_time_scan(trace: BandwidthTrace, nbytes: float, t0: float) -> float:
+    """Reference segment-by-segment walk of ``trace.transfer_time``.
+
+    The pre-prefix-sum algorithm: identical semantics up to
+    floating-point association order, kept here as the oracle the
+    searchsorted inversion is cross-checked against.
+    """
+    if nbytes == 0:
+        return 0.0
+    rates = trace.rates
+    times = trace.times
+    last = len(trace) - 1
+    if t0 >= trace.end:
+        return nbytes / float(rates[last])
+    remaining = float(nbytes)
+    elapsed = 0.0
+    if t0 < trace.start:
+        head_capacity = (trace.start - t0) * float(rates[0])
+        if remaining <= head_capacity:
+            return remaining / float(rates[0])
+        remaining -= head_capacity
+        elapsed = trace.start - t0
+        cursor = trace.start
+        index = 0
+    else:
+        index = int(np.searchsorted(times, t0, side="right")) - 1
+        index = min(max(index, 0), last)
+        cursor = t0
+    while index < last:
+        segment_end = float(times[index + 1])
+        capacity = (segment_end - cursor) * float(rates[index])
+        if remaining <= capacity:
+            return elapsed + remaining / float(rates[index])
+        remaining -= capacity
+        elapsed += segment_end - cursor
+        cursor = segment_end
+        index += 1
+    return elapsed + remaining / float(rates[last])
+
+
 class TestConstruction:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
@@ -187,7 +227,7 @@ class TestTransferTimePrefixSum:
             nbytes = float(rng.uniform(0, 5e8))
             t0 = float(rng.uniform(times[0] - 1e3, times[-1] + 1e3))
             fast = trace.transfer_time(nbytes, t0)
-            slow = trace._transfer_time_scan(nbytes, t0)
+            slow = transfer_time_scan(trace, nbytes, t0)
             assert fast >= 0
             assert fast == pytest.approx(slow, rel=1e-9, abs=1e-6)
 

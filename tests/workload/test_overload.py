@@ -404,6 +404,55 @@ class TestReconciliation:
         assert exact["resilience"] == streaming["resilience"]
 
 
+class TestProtectedTail:
+    def test_protection_bounds_the_chaos_tail(self):
+        # An oversubscribed open-loop fleet under the reference chaos
+        # plan: wide open, its p99 blows past the deadline; protected by
+        # admission control, deadlines, retry budgets and breakers, the
+        # completed queries' p99 stays under it.
+        deadline = 700.0
+        protected = overload_spec(
+            OverloadPolicy(
+                max_concurrent=3,
+                max_queue_depth=4,
+                shed_probability=0.05,
+                retry_budget=1,
+                retry_backoff=60.0,
+                breaker_threshold=2,
+                breaker_cooldown=600.0,
+            ),
+            classes=tuple(
+                QueryClass(
+                    name=algorithm.value,
+                    algorithm=algorithm,
+                    deadline=deadline,
+                    slo_target=600.0,
+                )
+                for algorithm in (Algorithm.GLOBAL, Algorithm.ONE_SHOT)
+            ),
+            arrivals=OpenLoop(rate=0.02, process="poisson"),
+            seed=11,
+            images_per_server=3,
+        )
+        protected = replace(
+            protected,
+            fault_plan=reference_chaos_plan(protected.all_hosts, seed=3),
+        )
+        unprotected = replace(
+            protected,
+            overload=None,
+            classes=tuple(
+                replace(qclass, deadline=None, slo_target=None)
+                for qclass in protected.classes
+            ),
+        )
+        bounded = run_workload(protected).fleet
+        wide_open = run_workload(unprotected).fleet
+        assert bounded["completed"] > 0
+        assert bounded["latency"]["p99"] <= deadline
+        assert wide_open["latency"]["p99"] > deadline
+
+
 class TestResilienceCounters:
     def test_merge_is_order_invariant(self):
         def sample(n):

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -189,6 +190,23 @@ class TestStreamingSink:
             merged = merge_sinks([copy.deepcopy(shards[i]) for i in order])
             summaries.add(json.dumps(merged.summary(600.0, scheduled=60)))
         assert len(summaries) == 1
+
+    def test_memory_flat_over_stream(self):
+        # Per-client state is allocated up front and the latency sketch
+        # grows logarithmically, so the second half of a long stream
+        # must not grow the sink.
+        stats = synthetic_stats(20_000, 10_000)
+        sink = StreamingFleetMetrics(num_clients=10_000)
+        tracemalloc.start()
+        try:
+            self.feed(sink, stats[:10_000])
+            halfway, _ = tracemalloc.get_traced_memory()
+            self.feed(sink, stats[10_000:])
+            final, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.summary(1.0)["completed"] > 0
+        assert final / halfway < 1.5
 
     def test_merge_guards(self):
         with pytest.raises(ValueError, match="population"):
