@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from heapq import heappop, heappush
 
 from repro.net.message import Message
-from repro.sim import Environment, Resource
-from repro.sim.stores import PriorityItem, PriorityStore
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.stores import StoreGet
+from repro.sim import Environment, Event, Resource
 
 
 @dataclass
@@ -25,35 +22,62 @@ class HostStats:
     nic_busy_time: float = 0.0
 
 
-class _MessageStore(PriorityStore):
-    """A priority store that hands back the bare message, not the wrapper."""
+class MailboxGet(Event):
+    """A receive from a :class:`Mailbox`; its value is the message.
 
-    def _take_item(self, event):
-        entry = super()._take_item(event)
-        return entry.item if isinstance(entry, PriorityItem) else entry
+    Its own class only so per-class kernel event counts
+    (``sim.events.<Type>``) tell receipts apart from other events.
+    """
+
+    __slots__ = ()
 
 
 class Mailbox:
-    """Priority-ordered queue of delivered messages for one actor."""
+    """Priority-ordered queue of delivered messages for one actor.
+
+    Direct handoff: a delivery succeeds the oldest waiting ``get`` at
+    once, or else joins a heap ordered by (priority, arrival), so the
+    lowest priority value is received first and ties are FIFO.  A
+    delivery schedules no calendar event of its own; the only event is
+    the getter's, scheduled where the message reaches it.
+    """
+
+    __slots__ = ("env", "_heap", "_getters", "_sequence")
 
     def __init__(self, env: Environment) -> None:
-        self._store = _MessageStore(env)
         self.env = env
+        self._heap: list[tuple[int, int, Message]] = []
+        self._getters: deque[MailboxGet] = deque()
+        self._sequence = 0
 
     def deliver(self, message: Message) -> None:
-        """Enqueue a delivered message (priority-ordered, FIFO in class)."""
-        self._store.put(PriorityItem(int(message.priority or 0), message))
+        """Hand ``message`` to a waiting getter, or queue it."""
+        if self._getters:
+            self._getters.popleft().succeed(message)
+            return
+        heappush(self._heap, (int(message.priority or 0), self._sequence, message))
+        self._sequence += 1
 
-    def get(self) -> "StoreGet":
+    def get(self) -> MailboxGet:
         """Event whose value is the next message (in priority order)."""
-        return self._store.get()
+        event = MailboxGet(self.env)
+        if self._heap:
+            event.succeed(heappop(self._heap)[2])
+        else:
+            self._getters.append(event)
+        return event
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._heap)
 
     def drain(self) -> list[Message]:
-        """Remove and return all queued messages (used when an actor moves)."""
-        return [entry.item for entry in self._store.clear()]
+        """Remove and return all queued messages (used when an actor moves).
+
+        Waiting getters stay queued: a detached mailbox keeps them.
+        """
+        drained = [message for _, _, message in sorted(self._heap)]
+        self._heap.clear()
+        return drained
 
 
 class Host:

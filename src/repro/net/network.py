@@ -654,7 +654,8 @@ class Network:
         )
         if actual != arrived_at:
             # The destination actor moved while the message was in flight:
-            # forward it (mobile-object runtimes do exactly this).
+            # forward it (mobile-object runtimes do exactly this).  Nothing
+            # waits on the forwarded copy's delivery, so it is posted.
             self.stats.forwarded += 1
             if message.query_id is not None:
                 self.stats_for(message.query_id).forwarded += 1
@@ -668,7 +669,7 @@ class Network:
                     to_host=actual,
                     **tag,
                 )
-            self.send(message, src_host=arrived_at, dst_host=actual)
+            self.post(message, src_host=arrived_at, dst_host=actual)
             return
         if tracer.enabled:
             tracer.emit(

@@ -15,9 +15,9 @@ The programming model:
 * :class:`~repro.sim.resources.Resource` and
   :class:`~repro.sim.resources.PriorityResource` model contended facilities
   (the paper's single network interface per host, the disk, the CPU).
-* :class:`~repro.sim.stores.Store` and
-  :class:`~repro.sim.stores.PriorityStore` model producer/consumer queues
-  (the paper's message queues, where barrier messages get priority).
+
+The paper's message queues, where barrier messages get priority, are the
+actor mailboxes of :mod:`repro.net.host`, built directly on events.
 
 Determinism: ties in the event calendar are broken by scheduling order, so a
 simulation with a fixed RNG seed is exactly reproducible.
@@ -27,7 +27,6 @@ from repro.sim.core import Environment, Process
 from repro.sim.errors import Interrupt, SimulationError, StopSimulation
 from repro.sim.events import NORMAL, URGENT, AllOf, AnyOf, Callback, Event, Timeout
 from repro.sim.resources import PriorityResource, Resource
-from repro.sim.stores import FilterStore, PriorityStore, Store
 
 __all__ = [
     "AllOf",
@@ -35,16 +34,13 @@ __all__ = [
     "Callback",
     "Environment",
     "Event",
-    "FilterStore",
     "Interrupt",
     "NORMAL",
     "PriorityResource",
-    "PriorityStore",
     "Process",
     "Resource",
     "SimulationError",
     "StopSimulation",
-    "Store",
     "Timeout",
     "URGENT",
 ]

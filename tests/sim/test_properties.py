@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, PriorityResource, Resource, Store
-from repro.sim.stores import PriorityItem, PriorityStore
+from repro.sim import Environment, PriorityResource, Resource
+from tests.net.reference_mailbox import PriorityItem, PriorityStore, Store
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=30))

@@ -1,9 +1,12 @@
-"""Store, PriorityStore and FilterStore semantics."""
+"""Store and PriorityStore semantics.
+
+These generic stores live in ``tests/net/reference_mailbox.py``: the
+store-based mailbox oracle is built on them, so they are pinned here.
+"""
 
 import pytest
 
-from repro.sim import FilterStore, PriorityStore, Store
-from repro.sim.stores import PriorityItem
+from tests.net.reference_mailbox import PriorityItem, PriorityStore, Store
 
 
 class TestStore:
@@ -178,52 +181,3 @@ class TestPriorityItem:
         a, b = PriorityItem(1, "x"), PriorityItem(1, "x")
         assert hash(a) != hash(b) or a is b
 
-
-class TestFilterStore:
-    def test_filtered_get(self, env):
-        store = FilterStore(env)
-        got = []
-
-        def producer(env):
-            yield store.put({"kind": "noise", "n": 1})
-            yield store.put({"kind": "signal", "n": 2})
-
-        def consumer(env):
-            item = yield store.get(lambda i: i["kind"] == "signal")
-            got.append(item["n"])
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert got == [2]
-
-    def test_non_matching_items_stay(self, env):
-        store = FilterStore(env)
-
-        def flow(env):
-            yield store.put("a")
-            yield store.put("b")
-            item = yield store.get(lambda i: i == "b")
-            assert item == "b"
-
-        env.process(flow(env))
-        env.run()
-        assert store.items == ["a"]
-
-    def test_filtered_get_waits_for_match(self, env):
-        store = FilterStore(env)
-        got = []
-
-        def consumer(env):
-            item = yield store.get(lambda i: i > 5)
-            got.append((env.now, item))
-
-        def producer(env):
-            yield store.put(1)
-            yield env.timeout(3)
-            yield store.put(9)
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == [(3.0, 9)]
