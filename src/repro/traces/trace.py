@@ -68,7 +68,7 @@ class BandwidthTrace:
         Optional label (e.g. ``"umd-ucla"``).
     """
 
-    __slots__ = ("times", "rates", "name", "_cumbytes")
+    __slots__ = ("times", "rates", "name", "_segbytes", "_cumbytes")
 
     def __init__(
         self,
@@ -96,8 +96,10 @@ class BandwidthTrace:
         self.times = times_arr
         self.rates = np.maximum(rates_arr, MIN_RATE)
         self.name = name
-        # _cumbytes[i] = bytes transferred between times[0] and times[i]
-        # at the trace's rates.  Lazily computed.
+        # _segbytes[i] = bytes transferred over segment [times[i],
+        # times[i+1]); _cumbytes[i] = bytes transferred between times[0]
+        # and times[i] at the trace's rates.  Both lazily computed.
+        self._segbytes: np.ndarray | None = None
         self._cumbytes: np.ndarray | None = None
 
     # -- basic queries ------------------------------------------------------
@@ -140,11 +142,8 @@ class BandwidthTrace:
     # -- integration --------------------------------------------------------
     def _cum(self) -> np.ndarray:
         if self._cumbytes is None:
-            if len(self) == 1:
-                self._cumbytes = np.zeros(1)
-            else:
-                deltas = np.diff(self.times) * self.rates[:-1]
-                self._cumbytes = np.concatenate(([0.0], np.cumsum(deltas)))
+            self._segbytes = np.diff(self.times) * self.rates[:-1]
+            self._cumbytes = np.concatenate(([0.0], np.cumsum(self._segbytes)))
         return self._cumbytes
 
     def ensure_cum(self) -> "BandwidthTrace":
@@ -208,14 +207,28 @@ class BandwidthTrace:
             total += (t1 - max(t0, end)) * float(self.rates[-1])
         lo, hi = max(t0, start), min(t1, end)
         if hi > lo:
-            total += self._bytes_inside(hi) - self._bytes_inside(lo)
+            total += self._bytes_inside(lo, hi)
         return total
 
-    def _bytes_inside(self, t: float) -> float:
-        """Cumulative bytes from ``start`` to ``t`` for start <= t <= end."""
-        cum = self._cum()
-        index = self._locate(t)
-        return float(cum[index] + (t - self.times[index]) * self.rates[index])
+    def _bytes_inside(self, lo: float, hi: float) -> float:
+        """Bytes from ``lo`` to ``hi`` for start <= lo < hi <= end.
+
+        Summed from the straddled segments, not as a difference of two
+        cumulative-bytes values: those grow with the volume of the whole
+        trace, and their rounding (an ulp of 1e12 bytes is ~1e-4 B) would
+        swamp a short window on a slow segment late in a fast trace.
+        """
+        rates, times = self.rates, self.times
+        first = self._locate(lo)
+        if hi <= times[first + 1]:
+            return (hi - lo) * float(rates[first])
+        last = self._locate(hi)
+        total = (float(times[first + 1]) - lo) * float(rates[first])
+        total += (hi - float(times[last])) * float(rates[last])
+        if last > first + 1:
+            self._cum()
+            total += float(self._segbytes[first + 1 : last].sum())
+        return total
 
     def transfer_time(
         self, nbytes: float, t0: float, hint: "TraceCursor | None" = None
