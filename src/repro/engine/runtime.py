@@ -53,6 +53,10 @@ class Runtime:
     ) -> None:
         self.env = env
         self.network = network
+        # The network's registry and host maps, read directly by the
+        # location lookups below (the network only mutates them in place).
+        self._actor_hosts = network._actor_hosts
+        self._hosts = network.hosts
         self.tracer = ensure_tracer(tracer)
         #: Prefix applied to every actor id this runtime registers with the
         #: (possibly shared) network, so several queries' identically-named
@@ -153,15 +157,19 @@ class Runtime:
     # -- locations ------------------------------------------------------------
     def host_of(self, actor: str) -> str:
         """Ground-truth current host of an actor."""
-        return self.network.actor_host(self.net_id(actor))
+        net_id = self.namespace + actor
+        try:
+            return self._actor_hosts[net_id]
+        except KeyError:
+            raise KeyError(f"actor {net_id!r} is not registered") from None
 
     def host_obj(self, actor: str) -> Host:
         """The :class:`Host` an actor currently runs on."""
-        return self.network.hosts[self.host_of(actor)]
+        return self._hosts[self.host_of(actor)]
 
     def mailbox_of(self, actor: str):
         """The mailbox an actor reads, under its network-registry name."""
-        return self.host_obj(actor).mailbox(self.net_id(actor))
+        return self._hosts[self.host_of(actor)].mailbox(self.namespace + actor)
 
     # -- messaging --------------------------------------------------------------
     def barrier_msg_priority(self) -> int:

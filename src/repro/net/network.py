@@ -22,9 +22,10 @@ forwarded, paying for the extra hop, as a mobile-object runtime would.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Callable, Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from repro.faults.plan import TransferAbandoned
 from repro.net.host import Host
@@ -43,9 +44,11 @@ from repro.obs.tracer import ensure_tracer
 from repro.sim import URGENT, Environment, Event
 
 
-@dataclass(frozen=True)
-class TransferObservation:
-    """What a completed wire transfer looked like (fed to monitors)."""
+class TransferObservation(NamedTuple):
+    """What a completed wire transfer looked like (fed to monitors).
+
+    Immutable; a named tuple because one is built per completed transfer.
+    """
 
     src_host: str
     dst_host: str
@@ -108,8 +111,9 @@ class Network:
         #: Only populated when messages carry a query tag (workload runs);
         #: the aggregate :attr:`stats` always counts everything.
         self.query_stats: dict[str, NetworkStats] = {}
-        #: Transfer arbiter state: waiting transfers (priority heap),
-        #: per-host active-transfer counts, and a FIFO tie-breaker.
+        #: Transfer arbiter state: waiting transfers (a list sorted by
+        #: priority, then arrival), per-host active-transfer counts, and a
+        #: FIFO tie-breaker.
         self._waiting: list[tuple] = []
         self._active_transfers: dict[str, int] = {}
         #: NIC capacities, cached flat at registration (hosts never change
@@ -117,11 +121,12 @@ class Network:
         #: check is two dict lookups instead of four plus attribute hops.
         self._nic_caps: dict[str, int] = {}
         self._sequence = 0
-        #: True when NIC capacity has been released since the last full
-        #: dispatch scan.  While False, every queued transfer is still
-        #: blocked (capacity only shrinks between scans), so :meth:`send`
-        #: may start/queue its one new message without rescanning the heap.
-        self._scan_needed = False
+        #: Hosts whose NIC capacity was released since the last dispatch
+        #: scan.  While empty, every queued transfer is still blocked
+        #: (capacity only shrinks between scans), so :meth:`send` may
+        #: start/queue its one new message without a scan; a scan only
+        #: considers queued transfers that touch one of these hosts.
+        self._released: set[str] = set()
         #: Monitoring hook: called with each TransferObservation.
         self.observers: list[Callable[[TransferObservation], None]] = []
         #: Optional piggyback source: ``(src_host, dst_host) -> dict`` with
@@ -135,6 +140,20 @@ class Network:
         #: Fault injector (see :meth:`install_faults`).  None (the
         #: default) keeps transfers on the exact unfaulted code path.
         self._faults = None
+
+    @property
+    def _scan_needed(self) -> bool:
+        """True while released NIC capacity awaits a dispatch scan."""
+        return bool(self._released)
+
+    @_scan_needed.setter
+    def _scan_needed(self, value: bool) -> None:
+        # Forcing a scan marks every NIC released, which makes the next
+        # scan consider every queued transfer.
+        if value:
+            self._released.update(self.hosts)
+        else:
+            self._released.clear()
 
     def install_faults(self, injector) -> None:
         """Route transfers through ``injector``'s outage/loss/retry model."""
@@ -324,64 +343,71 @@ class Network:
                 transport="wire",
                 **message.trace_fields(),
             )
+        self._admit(message, src, dst, done)
+        return done
+
+    def _admit(self, message: Message, src: str, dst: str, done) -> None:
+        """Start a new wire transfer now, or queue it for the arbiter."""
         self._sequence += 1
-        if not self._scan_needed:
-            # Fast path: no NIC has been released since the last full
-            # scan, so every queued transfer is still blocked and only
-            # *this* message can possibly start.  Starting (or queueing)
-            # it directly is order-identical to the full scan: a queued
-            # higher-priority transfer either shares the endpoint that
-            # blocks this one, or was blocked on endpoints this message
-            # doesn't touch.
-            active = self._active_transfers
-            caps = self._nic_caps
-            if active[src] < caps[src] and active[dst] < caps[dst]:
+        released = self._released
+        active = self._active_transfers
+        caps = self._nic_caps
+        if not released and active[src] < caps[src] and active[dst] < caps[dst]:
+            # Every queued transfer is still blocked, so only *this*
+            # message can possibly start.  Starting it directly is
+            # order-identical to a scan: each queued transfer stays blocked
+            # by the endpoint that blocked it, whose load has not fallen.
+            active[src] += 1
+            active[dst] += 1
+            self._start_transfer(message, src, dst, done)
+            return
+        priority = int(message.priority or 0)
+        insort(self._waiting, (priority, self._sequence, message, src, dst, done))
+        if released:
+            # Capacity was released since the last scan: mark the new
+            # transfer's endpoints too, so the scan weighs it in
+            # (priority, arrival) order against the freed ones.
+            released.add(src)
+            released.add(dst)
+            self._dispatch_transfers()
+
+    def _release(self, src: str, dst: str) -> None:
+        """Free one NIC slot at each endpoint of a finished transfer."""
+        self._active_transfers[src] -= 1
+        self._active_transfers[dst] -= 1
+        self._released.add(src)
+        self._released.add(dst)
+
+    def _dispatch_transfers(self) -> None:
+        """Start every queued transfer that released capacity now admits.
+
+        Queued transfers are walked in (priority, arrival) order, but only
+        those touching a host in :attr:`_released` are considered.  That is
+        exact: any other queued transfer was blocked, at the last scan or
+        when it was queued, by an endpoint whose load has only grown since
+        (loads fall only through :meth:`_release`).
+        """
+        released = self._released
+        if not released:
+            return
+        waiting = self._waiting
+        active = self._active_transfers
+        caps = self._nic_caps
+        i = 0
+        while i < len(waiting):
+            __, __, message, src, dst, done = waiting[i]
+            if (
+                (src in released or dst in released)
+                and active[src] < caps[src]
+                and active[dst] < caps[dst]
+            ):
+                del waiting[i]
                 active[src] += 1
                 active[dst] += 1
                 self._start_transfer(message, src, dst, done)
             else:
-                heappush(
-                    self._waiting,
-                    (
-                        int(message.priority or 0),
-                        self._sequence,
-                        message,
-                        src,
-                        dst,
-                        done,
-                    ),
-                )
-            return done
-        heappush(
-            self._waiting,
-            (int(message.priority or 0), self._sequence, message, src, dst, done),
-        )
-        self._dispatch_transfers()
-        return done
-
-    def _dispatch_transfers(self) -> None:
-        """Start every waiting transfer whose two endpoints are free.
-
-        This full scan is the arbiter's slow path; it re-arms
-        :meth:`send`'s fast path by clearing ``_scan_needed``.
-        """
-        self._scan_needed = False
-        if not self._waiting:
-            return
-        active = self._active_transfers
-        caps = self._nic_caps
-        blocked: list[tuple] = []
-        while self._waiting:
-            entry = heappop(self._waiting)
-            __, __, message, src, dst, done = entry
-            if active[src] >= caps[src] or active[dst] >= caps[dst]:
-                blocked.append(entry)
-                continue
-            active[src] += 1
-            active[dst] += 1
-            self._start_transfer(message, src, dst, done)
-        for entry in blocked:
-            heappush(self._waiting, entry)
+                i += 1
+        released.clear()
 
     def _start_transfer(self, message: Message, src: str, dst: str, done) -> None:
         """Launch an admitted transfer (both endpoint NICs already held).
@@ -407,9 +433,9 @@ class Network:
                 duration = link.transmission_time(message.wire_size, started)
                 env.schedule_callback(
                     duration,
-                    lambda: self._finish_transfer(
-                        message, src, dst, done, link, started, duration,
-                        fluid=True,
+                    partial(
+                        self._finish_transfer,
+                        message, src, dst, done, link, started, duration, True,
                     ),
                 )
                 return
@@ -484,11 +510,9 @@ class Network:
         wire_size = message.wire_size
         finished = self.env.now
 
-        self._active_transfers[src] -= 1
-        self._active_transfers[dst] -= 1
-        # Capacity was just released: any send before the trailing full
-        # scan (e.g. a forward out of _deliver) must rescan the queue.
-        self._scan_needed = True
+        # Capacity is released now: any send before the trailing scan
+        # (e.g. a forward out of _deliver) scans the queue itself.
+        self._release(src, dst)
 
         src_node, dst_node = self.hosts[src], self.hosts[dst]
         src_node.stats.messages_sent += 1
@@ -616,9 +640,7 @@ class Network:
                         reason=reason,
                         **tag,
                     )
-                self._active_transfers[src] -= 1
-                self._active_transfers[dst] -= 1
-                self._scan_needed = True
+                self._release(src, dst)
                 if done is not None:
                     done.defused = True
                     done.fail(

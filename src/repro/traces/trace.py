@@ -14,6 +14,7 @@ honest about transfers that straddle bandwidth changes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ class TraceCursor:
     start at (almost always) non-decreasing times, so the containing
     segment advances by a few positions per call.  A cursor remembers the
     last segment index; the trace resumes the search there with an
-    amortized-O(1) pointer advance instead of an O(log n) ``searchsorted``,
+    amortized-O(1) pointer advance instead of an O(log n) bisection,
     falling back to binary search for out-of-order or far-jumping queries.
 
     Cursors are an *optimization hint only*: results are bit-identical
@@ -66,9 +67,28 @@ class BandwidthTrace:
         :data:`MIN_RATE`.
     name:
         Optional label (e.g. ``"umd-ucla"``).
+
+    The float64 arrays are the stored data.  The scalar query paths
+    (:meth:`transfer_time`, :meth:`rate_at`, :meth:`_locate`) read them
+    through zero-copy ``memoryview`` objects instead: indexing a view
+    yields a Python float at a fraction of a numpy scalar's cost, and
+    :func:`bisect.bisect_right` on a view finds the same index as
+    ``np.searchsorted(..., side="right")`` on these sorted arrays.  Vector
+    operations stay numpy.  ``start`` and ``end`` are plain floats.
     """
 
-    __slots__ = ("times", "rates", "name", "_segbytes", "_cumbytes")
+    __slots__ = (
+        "times",
+        "rates",
+        "name",
+        "start",
+        "end",
+        "_segbytes",
+        "_cumbytes",
+        "_times_v",
+        "_rates_v",
+        "_cum_v",
+    )
 
     def __init__(
         self,
@@ -101,20 +121,38 @@ class BandwidthTrace:
         # and times[i] at the trace's rates.  Both lazily computed.
         self._segbytes: np.ndarray | None = None
         self._cumbytes: np.ndarray | None = None
+        self._make_views()
+
+    def _make_views(self) -> None:
+        """Build the scalar-path views and cached bounds from the arrays."""
+        self._times_v = memoryview(self.times)
+        self._rates_v = memoryview(self.rates)
+        #: Time of the first sample.
+        self.start = self._times_v[0]
+        #: Time of the last sample.
+        self.end = self._times_v[-1]
+        cum = self._cumbytes
+        self._cum_v = None if cum is None else memoryview(cum)
+
+    def __getstate__(self) -> dict:
+        # Views do not pickle: ship the arrays (and the prefix sums, when
+        # built) and rebuild the views on the other side.
+        return {
+            "times": self.times,
+            "rates": self.rates,
+            "name": self.name,
+            "_segbytes": self._segbytes,
+            "_cumbytes": self._cumbytes,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for key, value in state.items():
+            setattr(self, key, value)
+        self._make_views()
 
     # -- basic queries ------------------------------------------------------
     def __len__(self) -> int:
-        return int(self.times.size)
-
-    @property
-    def start(self) -> float:
-        """Time of the first sample."""
-        return float(self.times[0])
-
-    @property
-    def end(self) -> float:
-        """Time of the last sample."""
-        return float(self.times[-1])
+        return len(self._times_v)
 
     @property
     def duration(self) -> float:
@@ -123,7 +161,7 @@ class BandwidthTrace:
 
     def rate_at(self, t: float, hint: "TraceCursor | None" = None) -> float:
         """Instantaneous bandwidth (bytes/s) at time ``t``."""
-        return float(self.rates[self._locate(t, hint)])
+        return self._rates_v[self._locate(t, hint)]
 
     def mean_rate(self, t0: float | None = None, t1: float | None = None) -> float:
         """Time-weighted mean bandwidth over ``[t0, t1]`` (default: whole trace)."""
@@ -140,11 +178,13 @@ class BandwidthTrace:
         return TraceCursor()
 
     # -- integration --------------------------------------------------------
-    def _cum(self) -> np.ndarray:
-        if self._cumbytes is None:
+    def _cum(self) -> memoryview:
+        """The cumulative-bytes prefix sum, as a view (built on first use)."""
+        if self._cum_v is None:
             self._segbytes = np.diff(self.times) * self.rates[:-1]
             self._cumbytes = np.concatenate(([0.0], np.cumsum(self._segbytes)))
-        return self._cumbytes
+            self._cum_v = memoryview(self._cumbytes)
+        return self._cum_v
 
     def ensure_cum(self) -> "BandwidthTrace":
         """Eagerly compute the cumulative-bytes prefix sum; returns ``self``.
@@ -160,7 +200,7 @@ class BandwidthTrace:
 
     def _locate(self, t0: float, hint: TraceCursor | None = None) -> int:
         """Index ``i`` with ``times[i] <= t0 < times[i+1]``, clamped to
-        ``[0, len-1]`` — exactly ``searchsorted(times, t0, 'right') - 1``.
+        ``[0, len-1]`` — exactly ``bisect_right(times, t0) - 1``.
 
         With a ``hint`` the search resumes from the cursor's last index
         and walks forward (amortized O(1) for near-monotone query times);
@@ -168,8 +208,8 @@ class BandwidthTrace:
         segments fall back to binary search.  The hint is updated to the
         returned index either way.
         """
-        times = self.times
-        last = times.size - 1
+        times = self._times_v
+        last = len(times) - 1
         if hint is not None:
             index = hint.index
             if 0 <= index <= last and times[index] <= t0:
@@ -184,8 +224,9 @@ class BandwidthTrace:
                 if advanced:
                     hint.index = index
                     return index
-        index = int(np.searchsorted(times, t0, side="right")) - 1
-        index = 0 if index < 0 else (last if index > last else index)
+        index = bisect_right(times, t0) - 1
+        if index < 0:
+            index = 0
         if hint is not None:
             hint.index = index
         return index
@@ -202,9 +243,9 @@ class BandwidthTrace:
         start, end = self.start, self.end
         total = 0.0
         if t0 < start:
-            total += (min(t1, start) - t0) * float(self.rates[0])
+            total += (min(t1, start) - t0) * self._rates_v[0]
         if t1 > end:
-            total += (t1 - max(t0, end)) * float(self.rates[-1])
+            total += (t1 - max(t0, end)) * self._rates_v[-1]
         lo, hi = max(t0, start), min(t1, end)
         if hi > lo:
             total += self._bytes_inside(lo, hi)
@@ -218,13 +259,13 @@ class BandwidthTrace:
         trace, and their rounding (an ulp of 1e12 bytes is ~1e-4 B) would
         swamp a short window on a slow segment late in a fast trace.
         """
-        rates, times = self.rates, self.times
+        rates, times = self._rates_v, self._times_v
         first = self._locate(lo)
         if hi <= times[first + 1]:
-            return (hi - lo) * float(rates[first])
+            return (hi - lo) * rates[first]
         last = self._locate(hi)
-        total = (float(times[first + 1]) - lo) * float(rates[first])
-        total += (hi - float(times[last])) * float(rates[last])
+        total = (times[first + 1] - lo) * rates[first]
+        total += (hi - times[last]) * rates[last]
         if last > first + 1:
             self._cum()
             total += float(self._segbytes[first + 1 : last].sum())
@@ -242,10 +283,12 @@ class BandwidthTrace:
         The first (partial) segment is handled directly — exact, never
         negative, even for tiny transfers far outside the sampled window.
         A transfer that spans further is inverted against the cumulative
-        prefix-sum byte integral with one ``searchsorted``, so the cost is
+        prefix-sum byte integral with one bisection, so the cost is
         O(log n) rather than a Python-level walk over every straddled
         segment (``tests/traces/test_trace.py`` keeps that walk as the
-        reference it cross-checks against).
+        reference it cross-checks against, and
+        ``tests/traces/reference_trace.py`` keeps the numpy-scalar form of
+        this method).
 
         ``hint`` (a :class:`TraceCursor`, typically owned by a
         :class:`repro.net.link.Link`) amortizes the *starting-segment*
@@ -256,20 +299,20 @@ class BandwidthTrace:
             raise ValueError(f"negative transfer size {nbytes!r}")
         if nbytes == 0:
             return 0.0
-        rates = self.rates
-        times = self.times
-        last = len(self) - 1
+        rates = self._rates_v
+        times = self._times_v
+        last = len(times) - 1
 
         if t0 >= self.end:
             if hint is not None:
                 hint.index = last
-            return nbytes / float(rates[last])
+            return nbytes / rates[last]
         remaining = float(nbytes)
         elapsed = 0.0
         if t0 < self.start:
-            head_capacity = (self.start - t0) * float(rates[0])
+            head_capacity = (self.start - t0) * rates[0]
             if remaining <= head_capacity:
-                return remaining / float(rates[0])
+                return remaining / rates[0]
             remaining -= head_capacity
             elapsed = self.start - t0
             cursor = self.start
@@ -280,32 +323,34 @@ class BandwidthTrace:
             index = self._locate(t0, hint)
             cursor = t0
         if index == last:
-            return elapsed + remaining / float(rates[last])
+            return elapsed + remaining / rates[last]
         # Finish the (partial) segment the transfer starts in exactly.
-        boundary = float(times[index + 1])
-        capacity = (boundary - cursor) * float(rates[index])
+        boundary = times[index + 1]
+        capacity = (boundary - cursor) * rates[index]
         if remaining <= capacity:
-            return elapsed + remaining / float(rates[index])
+            return elapsed + remaining / rates[index]
         remaining -= capacity
         elapsed += boundary - cursor
         index += 1
         if index == last:
-            return elapsed + remaining / float(rates[last])
+            return elapsed + remaining / rates[last]
         # From the sample boundary ``times[index]`` onward, invert the
         # cumulative byte integral: find the segment whose prefix-sum
-        # bracket contains ``cum[index] + remaining``.
+        # bracket contains ``cum[index] + remaining``.  Every entry before
+        # ``index`` is <= ``cum[index]`` <= ``target``, so bisecting from
+        # ``index`` finds the same position as bisecting the whole array.
         cum = self._cum()
-        target = float(cum[index]) + remaining
-        stop = int(np.searchsorted(cum, target, side="right")) - 1
+        target = cum[index] + remaining
+        stop = bisect_right(cum, target, index) - 1
         if stop >= last:
             return (
                 elapsed
-                + float(times[last]) - float(times[index])
-                + (target - float(cum[last])) / float(rates[last])
+                + times[last] - times[index]
+                + (target - cum[last]) / rates[last]
             )
         stop = max(stop, index)
-        within = (target - float(cum[stop])) / float(rates[stop])
-        return elapsed + float(times[stop]) - float(times[index]) + within
+        within = (target - cum[stop]) / rates[stop]
+        return elapsed + times[stop] - times[index] + within
 
     # -- transforms ----------------------------------------------------------
     def shifted(self, offset: float) -> "BandwidthTrace":
